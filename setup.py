@@ -1,15 +1,20 @@
-"""Setuptools shim.
+"""Setuptools build script: ``pip install -e .`` from the repository root.
 
-Package metadata lives in ``pyproject.toml``; this file exists so that the
-project can also be installed with legacy tooling (``pip install -e .
---no-use-pep517``) on environments without the ``wheel`` package.
+The version has one definition, ``__version__`` in ``src/repro/__init__.py``;
+it is read from there as text, so building does not import the package.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.M).group(1)
+
 setup(
     name="spardl-repro",
-    version="1.0.0",
+    version=VERSION,
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",

@@ -16,14 +16,17 @@ Grammar
 alias (case-insensitive, as in the paper's figures) and the keys are:
 
 ========== ===================================================================
-``k``       entries selected per worker (mutually exclusive with ``density``)
-``density`` selected fraction ``k/n`` (mutually exclusive with ``k``)
+``k``       entries selected per worker (mutually exclusive with ``density``;
+            every method except Dense)
+``density`` selected fraction ``k/n`` (mutually exclusive with ``k``;
+            every method except Dense)
 ``schedule`` sparsity schedule: ``constant`` (default), ``warmup:STEPS`` /
             ``warmup:STEPS:START_DENSITY`` (DGC-style ramp), ``adaptive`` /
             ``adaptive:GAIN`` (nnz-feedback controller)
-``teams``   SparDL team count ``d`` (default 1)
-``sag``     SparDL Spar-All-Gather mode: ``auto`` / ``rsag`` / ``bsag``
-``residuals`` SparDL residual policy: ``global`` / ``partial`` / ``local`` / ``none``
+``teams``   SparDL only: team count ``d`` (default 1)
+``sag``     SparDL only: Spar-All-Gather mode: ``auto`` / ``rsag`` / ``bsag``
+``residuals`` SparDL only: residual policy: ``global`` / ``partial`` /
+            ``local`` / ``none`` (the baselines keep their papers' policies)
 ``buckets`` ``flat`` (default), ``layer`` (one bucket per parameter tensor),
             ``size:N`` (SSFusion-style fusion of consecutive tensors up to
             ``N`` elements), or ``auto`` / ``auto:mgwfbp`` / ``auto:asc``
@@ -33,8 +36,6 @@ alias (case-insensitive, as in the paper's figures) and the keys are:
             transport — ``auto`` is MG-WFBP); non-flat specs need a
             ``model``, and ``auto`` planning reads the optional
             ``network=`` / ``compute_profile=`` arguments of :func:`make`
-``wire``    SparDL SRS wire format: ``packed`` (default) / ``per-block``
-``deferred`` SparDL deferred residual accumulation: ``true`` / ``false``
 ``bits``    wire value quantization (all methods): bits per value in
             ``[1, 32]``; values are quantized QSGD-style with exact error
             feedback, sparse messages bill the ``(1 + bits/32)/2`` COO
@@ -153,8 +154,7 @@ _SPEC_NAMES: Dict[str, str] = {
 
 #: Recognised spec keys, in canonical serialisation order.
 _SPEC_KEYS = ("k", "density", "teams", "sag", "residuals", "schedule",
-              "buckets", "wire", "deferred", "bits", "momentum", "hybrid",
-              "backend", "trace")
+              "buckets", "bits", "momentum", "hybrid", "backend", "trace")
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -253,8 +253,6 @@ class SyncSpec:
     residuals: str = "global"
     schedule: str = "constant"
     buckets: str = "flat"
-    wire: str = "packed"
-    deferred: bool = False
     #: Wire quantization: ``None`` (full precision), an int in ``[1, 32]``,
     #: or a per-bucket override string like ``"8,emb:32"`` (see the grammar).
     bits: "Optional[int | str]" = None
@@ -276,6 +274,7 @@ class SyncSpec:
                     f"unknown synchroniser {self.method!r}; expected one of "
                     f"{', '.join(SYNCHRONIZER_NAMES)}")
             self.method = canonical
+        _reject_inapplicable_keys(self)
         if self.k is not None and self.density is not None:
             raise ValueError("give only one of k and density")
         if self.bits is not None:
@@ -326,10 +325,6 @@ class SyncSpec:
             params.append(f"schedule={self.schedule}")
         if self.buckets != "flat":
             params.append(f"buckets={self.buckets}")
-        if self.wire != "packed":
-            params.append(f"wire={self.wire}")
-        if self.deferred:
-            params.append("deferred=true")
         if self.bits is not None:
             params.append(f"bits={self.bits}")
         if self.momentum is not None:
@@ -355,13 +350,21 @@ def _bucket_planner(buckets: str) -> str:
     return buckets.partition(":")[2]
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"spec key {key!r} expects a boolean, got {value!r}")
+def _reject_inapplicable_keys(spec: SyncSpec) -> None:
+    """Fail on keys the method would silently ignore, so that
+    :func:`describe` never echoes a setting that is not in effect."""
+    if spec.method != "SparDL":
+        ignored = [key for key, default in
+                   (("teams", 1), ("sag", "auto"), ("residuals", "global"))
+                   if getattr(spec, key) != default]
+        if spec.extras:
+            ignored.append(f"extras {sorted(spec.extras)}")
+        if ignored:
+            raise ValueError(
+                f"SparDL-only settings ({', '.join(ignored)}) do not apply "
+                f"to {spec.method}")
+    if spec.method == "Dense" and (spec.k is not None or spec.density is not None):
+        raise ValueError("Dense has no sparsity knob; k= and density= do not apply")
 
 
 def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
@@ -400,8 +403,6 @@ def parse_spec(spec: "str | SyncSpec") -> SyncSpec:
                 # Kept as written: a plain integer or a per-bucket override
                 # string; SyncSpec canonicalises either form.
                 options[key] = value.strip()
-            elif key == "deferred":
-                options[key] = _parse_bool(key, value)
             else:
                 options[key] = value.strip().lower()
     return SyncSpec(method=name, **options)
@@ -450,7 +451,6 @@ def _build_flat(spec: SyncSpec, cluster: Transport,
             k=spec.k, density=spec.density, num_teams=spec.teams,
             sag_mode=SAGMode.coerce(spec.sag),
             residual_policy=ResidualPolicy.coerce(spec.residuals),
-            wire_format=spec.wire, deferred_residuals=spec.deferred,
             schedule=schedule, num_bits=spec.bits, momentum=spec.momentum,
             **spec.extras,
         )
@@ -723,18 +723,20 @@ def make_synchronizer(
 ) -> GradientSynchronizer:
     """Build a synchroniser by (case-insensitive) method name or spec string.
 
-    The pre-facade factory interface, kept verbatim: ``num_teams``,
-    ``sag_mode``, ``residual_policy`` and ``sparsify_all_blocks`` only
-    affect SparDL; the baselines use the residual policies of their
-    original papers.  ``name`` may also be a full spec string
-    (``"spardl?density=0.01&schedule=warmup:5"``); explicit keyword
-    arguments override the spec's keys.
+    The pre-facade factory interface: ``num_teams``, ``sag_mode``,
+    ``residual_policy`` and ``sparsify_all_blocks`` are SparDL-only (the
+    baselines use the residual policies of their original papers), so a
+    non-default value for another method raises ``ValueError``.  Dense has
+    no sparsity knob: ``k`` / ``density`` are not passed to it, so one
+    sparsity can be swept over every method name.  ``name`` may also be a
+    full spec string (``"spardl?density=0.01&schedule=warmup:5"``);
+    explicit keyword arguments override the spec's keys.
     """
     parsed = parse_spec(name)
     overrides: Dict[str, Any] = {}
-    if k is not None:
+    if k is not None and parsed.method != "Dense":
         overrides["k"] = k
-    if density is not None:
+    if density is not None and parsed.method != "Dense":
         overrides["density"] = density
     if num_teams != 1:
         overrides["teams"] = num_teams

@@ -132,7 +132,7 @@ class SparseBaseline(GradientSynchronizer):
         return selected
 
     def finalize_residuals(self, final: SparseGradient) -> None:
-        """Resolve deferred (PRES) procedure discards against the final
+        """Resolve held-back (PRES) procedure discards against the final
         global index set."""
         self.residuals.finalize(final.indices)
 

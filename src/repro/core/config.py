@@ -2,12 +2,11 @@
 
 :class:`SparDLConfig` collects every knob the paper exposes: the sparsity
 (``k`` or a density ratio), the team count ``d``, the Spar-All-Gather variant
-and the residual collection policy — plus two implementation knobs: the SRS
-wire format (batched :class:`~repro.comm.packed.PackedBags` messages by
-default) and the dense-fallback crossover.  The configuration validates
-itself against a cluster size so misconfigurations (``d`` not dividing
-``P``, R-SAG with a non-power-of-two ``d``, ...) fail loudly before any
-communication happens.
+and the residual collection policy — plus the dense-fallback crossover and
+the compression extensions (schedule, quantization, momentum correction).
+The configuration validates itself against a cluster size so
+misconfigurations (``d`` not dividing ``P``, R-SAG with a non-power-of-two
+``d``, ...) fail loudly before any communication happens.
 """
 
 from __future__ import annotations
@@ -18,18 +17,17 @@ from typing import Optional
 
 from .residuals import ResidualPolicy
 from .schedules import KSchedule, coerce_schedule
-from .srs import WIRE_FORMATS
 
 __all__ = ["SAGMode", "SparDLConfig", "DEFAULT_DENSE_CROSSOVER"]
 
 #: Density ratio ``k/n`` at which the sparse pipeline stops beating a dense
-#: All-Reduce.  Measured by ``benchmarks/perf/bench_srs.py`` in simulated
-#: alpha-beta time (recorded in ``BENCH_PR2.json``): for power-of-two worker
-#: counts — where the dense algorithm is bandwidth-optimal — the crossover
-#: sits at ``k/n = 0.5``, exactly where the COO volume ``4k(P-1)/P`` meets
-#: the dense ``2n(P-1)/P``.  For other worker counts the latency-heavy ring
-#: keeps the sparse pipeline ahead even at ``k/n = 1``, so 0.5 is the
-#: conservative bound.
+#: All-Reduce, measured in simulated alpha-beta time (re-measured by
+#: ``tests/test_core_spardl.py``; recorded in ``BENCH_PR2.json``): for
+#: power-of-two worker counts — where the dense algorithm is
+#: bandwidth-optimal — the crossover sits at ``k/n = 0.5``, exactly where
+#: the COO volume ``4k(P-1)/P`` meets the dense ``2n(P-1)/P``.  For other
+#: worker counts the latency-heavy ring keeps the sparse pipeline ahead even
+#: at ``k/n = 1``, so 0.5 is the conservative bound.
 DEFAULT_DENSE_CROSSOVER = 0.5
 
 
@@ -77,11 +75,6 @@ class SparDLConfig:
         Disable the paper's "Optimization for SRS": re-sparsify every held
         block after each summation instead of only the blocks about to be
         sent.  Only used by the ablation benchmark.
-    wire_format:
-        SRS wire format: ``"packed"`` (default, one batched
-        :class:`~repro.comm.packed.PackedBags` message per worker and step)
-        or ``"per-block"`` (unbatched; one message per block, kept for the
-        batching benchmark).
     dense_fallback:
         When True (default), synchronisations whose density ``k/n`` reaches
         :attr:`dense_fallback_ratio` bypass the sparse pipeline and run a
@@ -93,14 +86,6 @@ class SparDLConfig:
         default :data:`DEFAULT_DENSE_CROSSOVER`; any positive float
         overrides it.  Because ``k/n`` never exceeds 1, a value above 1
         disables the fallback (equivalent to ``dense_fallback=False``).
-    deferred_residuals:
-        When True, the residual manager buffers every sparse discard
-        (``collect_procedure`` / ``collect_local_sparse``) per worker and
-        folds each buffer through one
-        :func:`~repro.sparse.vector.merge_many_coo` call and a single
-        scatter at the flush points of the iteration, instead of scattering
-        once per (worker, step).  Bit-identical residuals either way; the
-        default False keeps the eager reference path.
     schedule:
         Sparsity schedule (see :mod:`repro.core.schedules`): ``None`` keeps
         the constant ``k``/``density`` (the pre-schedule behaviour, bit for
@@ -136,10 +121,8 @@ class SparDLConfig:
     sag_mode: SAGMode | str = SAGMode.AUTO
     residual_policy: ResidualPolicy | str = ResidualPolicy.GLOBAL
     sparsify_all_blocks: bool = False
-    wire_format: str = "packed"
     dense_fallback: bool = True
     dense_fallback_ratio: Optional[float] = None
-    deferred_residuals: bool = False
     schedule: Optional[KSchedule | str] = None
     num_bits: Optional[int] = None
     momentum: Optional[float] = None
@@ -161,10 +144,6 @@ class SparDLConfig:
             raise ValueError("density must be in (0, 1]")
         if self.num_teams <= 0:
             raise ValueError("num_teams must be positive")
-        if self.wire_format not in WIRE_FORMATS:
-            raise ValueError(
-                f"wire_format must be one of {WIRE_FORMATS}, got {self.wire_format!r}"
-            )
         if self.dense_fallback_ratio is not None and self.dense_fallback_ratio <= 0:
             raise ValueError("dense_fallback_ratio must be positive")
         if self.num_bits is not None and not 1 <= int(self.num_bits) <= 32:

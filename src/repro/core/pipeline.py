@@ -161,9 +161,6 @@ def _lost_sparse_parts(payload: Any) -> List[SparseGradient]:
         return payload.to_list()
     if isinstance(payload, SparseGradient):
         return [payload]
-    if (isinstance(payload, tuple) and len(payload) == 2
-            and isinstance(payload[1], SparseGradient)):
-        return [payload[1]]  # (block_id, sparse) — the per-block wire format
     raise TypeError(
         f"cannot fold lost payload of type {type(payload).__name__} into the "
         "residual path; lossy messages must carry sparse gradient mass")

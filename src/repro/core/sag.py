@@ -26,13 +26,8 @@ exchanged block into a single-bag buffer pair (``comm_size`` derived from
 the packed arrays), and B-SAG's Bruck exchange packs each forwarded item
 list inside :func:`~repro.comm.collectives.allgather_bruck_grouped`.
 Receivers decode zero-copy views and merge them with the compiled kernels.
-
-Every ``collect_procedure`` call below goes through the
-:class:`~repro.core.residuals.ResidualManager` collection hooks, so when the
-synchroniser enables deferred residual accumulation
-(``SparDLConfig.deferred_residuals``) the per-step discards of both SAG
-variants are buffered and folded into the stores in one merge per worker at
-the iteration's flush point instead of being scattered step by step.
+Every discard goes to the discarding worker's store through the
+:class:`~repro.core.residuals.ResidualManager` collection hooks.
 """
 
 from __future__ import annotations

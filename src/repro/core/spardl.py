@@ -77,8 +77,7 @@ class SparDLSynchronizer(GradientSynchronizer):
     returns a :class:`~repro.core.base.SyncResult` whose
     ``global_gradients`` are identical on every worker.  Residual state
     lives in :attr:`residuals` (a
-    :class:`~repro.core.residuals.ResidualManager`, deferred-accumulation
-    mode when ``config.deferred_residuals`` is set) and carries over
+    :class:`~repro.core.residuals.ResidualManager`) and carries over
     between iterations, implementing error feedback.
     """
 
@@ -94,8 +93,7 @@ class SparDLSynchronizer(GradientSynchronizer):
         self.teams = make_teams(cluster.num_workers, config.num_teams)
         self.layout = BlockLayout(num_elements, self.team_size)
         self.residuals = ResidualManager(cluster.num_workers, num_elements,
-                                         config.residual_policy,
-                                         deferred=config.deferred_residuals)
+                                         config.residual_policy)
         self.adopt_stack(CompressorStack.from_config(
             cluster.num_workers, momentum=config.momentum,
             num_bits=config.num_bits, sparsify=True))
@@ -220,7 +218,6 @@ class SparDLSynchronizer(GradientSynchronizer):
             k_block=self.k_block,
             residuals=self.residuals,
             sparsify_all=self.config.sparsify_all_blocks,
-            wire_format=self.config.wire_format,
             compressor=(self.stack if self.stack is not None
                         and self.stack.transforms_wire else None),
         )
@@ -273,12 +270,9 @@ class SparDLSynchronizer(GradientSynchronizer):
         context.info = info
 
     def stage_residual_update(self, context: StepContext) -> None:
-        """Resolve deferred (PRES) discards against the final index set,
-        which is identical on every worker.  This is also the per-iteration
-        flush point of deferred residual accumulation: every sparse discard
-        the SRS/SAG steps buffered is folded into the stores in one merge
-        per worker here.  A dense-fallback step drops nothing, so there is
-        nothing to resolve."""
+        """Resolve held-back (PRES) discards against the final index set,
+        which is identical on every worker.  A dense-fallback step drops
+        nothing, so there is nothing to resolve."""
         if context.scratch.get("dense_fallback"):
             return
         self.residuals.finalize(context.reference.indices)

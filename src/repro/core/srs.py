@@ -25,17 +25,14 @@ the paper's ``P/d``-worker teams operate in parallel.
 
 Wire format
 -----------
-By default every bag is shipped *batched*: the per-block COO arrays of one
-bag are concatenated into a single :class:`~repro.comm.packed.PackedBags`
-buffer pair, so each worker emits exactly **one message per transmission
-step** no matter how many blocks the bag holds.  Block ids ride as zero-cost
-header metadata and ``comm_size`` is derived from the packed arrays alone
-(two elements per non-zero, the paper's COO convention).  Receivers decode
-each block as a zero-copy slice view (``from_sorted_unique``) and merge it
-with the compiled ``merge_add`` kernel.  ``wire_format="per-block"`` keeps
-the unbatched wiring — one message per block per step — for the batching
-benchmark; both formats move identical bytes and produce bit-identical
-reduced blocks.
+Every bag is shipped as one message: the per-block COO arrays of the bag are
+concatenated into a single :class:`~repro.comm.packed.PackedBags` buffer
+pair, so each worker emits exactly **one message per transmission step** no
+matter how many blocks the bag holds, as in the paper.  Block ids ride as
+zero-cost header metadata and ``comm_size`` is derived from the packed
+arrays alone (two elements per non-zero, the paper's COO convention).
+Receivers decode each block as a zero-copy slice view
+(``from_sorted_unique``) and merge it with the compiled ``merge_add`` kernel.
 """
 
 from __future__ import annotations
@@ -55,11 +52,7 @@ from .residuals import ResidualManager
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compression.stack import CompressorStack
 
-__all__ = ["SRSOutput", "spar_reduce_scatter", "WIRE_FORMATS"]
-
-#: Supported SRS wire formats: batched (one PackedBags message per worker and
-#: step) and unbatched (one message per block per step).
-WIRE_FORMATS = ("packed", "per-block")
+__all__ = ["SRSOutput", "spar_reduce_scatter"]
 
 
 @dataclass
@@ -87,7 +80,6 @@ def spar_reduce_scatter(
     k_block: int,
     residuals: ResidualManager,
     sparsify_all: bool = False,
-    wire_format: str = "packed",
     compressor: Optional["CompressorStack"] = None,
 ) -> SRSOutput:
     """Run SRS concurrently inside every team.
@@ -108,12 +100,6 @@ def spar_reduce_scatter(
         When True, re-sparsify every held block after each summation instead
         of only the blocks about to be sent (paper's pre-optimisation
         behaviour).
-    wire_format:
-        ``"packed"`` (default) batches each bag into one
-        :class:`~repro.comm.packed.PackedBags` message per (worker, step);
-        ``"per-block"`` sends one message per block per step (the unbatched
-        wiring, kept for the batching benchmark).  Both move identical
-        element counts and produce bit-identical results.
     compressor:
         Optional wire-transforming
         :class:`~repro.compression.stack.CompressorStack` (or any object
@@ -129,9 +115,6 @@ def spar_reduce_scatter(
     team_size = _validate_teams(cluster, teams, layout)
     if k_block <= 0:
         raise ValueError("k_block must be positive")
-    if wire_format not in WIRE_FORMATS:
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, got {wire_format!r}")
-    packed_wire = wire_format == "packed"
 
     # ------------------------------------------------------------------
     # 1. partitioning + local sparsification
@@ -175,40 +158,25 @@ def spar_reduce_scatter(
                     pieces.append(sparse_block)
                     step_max_nnz = max(step_max_nnz, sparse_block.nnz)
                 dst = team[(position + distance) % team_size]
-                if packed_wire:
-                    # One message per (worker, step): the whole bag travels as
-                    # one contiguous buffer pair.  Block ids are header
-                    # metadata; comm_size comes from the packed arrays alone.
-                    # SRS bags are ``lossy``: only the block owner's final
-                    # value degrades if one is lost (its mass returns to the
-                    # sender's residual store), and the downstream all-gather
-                    # keeps every worker consistent — so SRS can degrade
-                    # gracefully where the SAG/all-gather steps cannot.
-                    messages.append(Message(src=rank, dst=dst,
-                                             payload=PackedBags.pack(pieces, ids=bag_blocks),
-                                             tag=f"srs-{step_index}",
-                                             lossy=True))
-                else:
-                    # Unbatched wiring: one message per block.  Block ids are
-                    # still metadata, so each message bills the COO payload
-                    # only.
-                    for block, sparse_block in zip(bag_blocks, pieces):
-                        messages.append(Message(src=rank, dst=dst,
-                                                 payload=(block, sparse_block),
-                                                 size=sparse_block.comm_size,
-                                                 tag=f"srs-{step_index}",
-                                                 lossy=True))
+                # One message per (worker, step): the whole bag travels as
+                # one contiguous buffer pair.  Block ids are header metadata;
+                # comm_size comes from the packed arrays alone.  SRS bags are
+                # ``lossy``: only the block owner's final value degrades if
+                # one is lost (its mass returns to the sender's residual
+                # store), and the downstream all-gather keeps every worker
+                # consistent — so SRS can degrade gracefully where the
+                # SAG/all-gather steps cannot.
+                messages.append(Message(src=rank, dst=dst,
+                                         payload=PackedBags.pack(pieces, ids=bag_blocks),
+                                         tag=f"srs-{step_index}",
+                                         lossy=True))
         inboxes = cluster.exchange(messages)
         max_bag_nnz_per_step.append(step_max_nnz)
 
         for team in teams:
             for position, rank in enumerate(team):
                 for message in inboxes.get(rank, []):
-                    if isinstance(message.payload, PackedBags):
-                        received = message.payload.items()
-                    else:
-                        received = [message.payload]
-                    for block, sparse_block in received:
+                    for block, sparse_block in message.payload.items():
                         if block not in held[rank]:
                             raise RuntimeError(
                                 f"Theorem 1 violated: worker {rank} received block {block} "

@@ -51,63 +51,11 @@ int64_t merge_add_i64_f64(
     return o;
 }
 
-/* K-way merge-add of sorted COO streams (duplicates allowed both across and
- * within a stream).  Equal indices are consumed stream by stream in stream
- * order, so the accumulation matches a sequential pairwise left fold.
- * Returns the number of entries written, or -1 if num_streams exceeds
- * MAX_STREAMS.
- *
- * This is the reference head-scan kernel: every output entry rescans all
- * stream heads, O(total * streams).  merge_many_tournament_i64_f64 below is
- * the production kernel; this one is kept callable for the perf-regression
- * benchmark that proves the tournament tree wins at wide fan-ins. */
-int64_t merge_many_i64_f64(
-    int64_t num_streams,
-    const int64_t **indices,
-    const double **values,
-    const int64_t *lengths,
-    int64_t *out_indices,
-    double *out_values)
-{
-    int64_t cursor[MAX_STREAMS];
-    int64_t s, o = 0;
-    if (num_streams > MAX_STREAMS)
-        return -1;
-    for (s = 0; s < num_streams; s++)
-        cursor[s] = 0;
-    for (;;) {
-        int64_t best = 0;
-        int found = 0;
-        for (s = 0; s < num_streams; s++) {
-            if (cursor[s] < lengths[s]) {
-                int64_t head = indices[s][cursor[s]];
-                if (!found || head < best) {
-                    best = head;
-                    found = 1;
-                }
-            }
-        }
-        if (!found)
-            break;
-        {
-            double acc = 0.0;
-            for (s = 0; s < num_streams; s++) {
-                while (cursor[s] < lengths[s] && indices[s][cursor[s]] == best) {
-                    acc += values[s][cursor[s]];
-                    cursor[s]++;
-                }
-            }
-            out_indices[o] = best;
-            out_values[o] = acc;
-            o++;
-        }
-    }
-    return o;
-}
-
-/* Tournament-tree k-way merge-add: same contract and bit-identical output as
- * merge_many_i64_f64, but O(total * log streams) instead of
- * O(total * streams).
+/* Tournament-tree k-way merge-add of sorted COO streams (duplicates allowed
+ * both across and within a stream), O(total * log streams).  Equal indices
+ * are consumed stream by stream in stream order, so the accumulation matches
+ * a sequential pairwise left fold.  Returns the number of entries written,
+ * or -1 if num_streams exceeds MAX_STREAMS.
  *
  * A complete winner tree over the (padded to a power of two) stream heads is
  * kept in an implicit array: leaves at win[width + s] hold stream ids, every
@@ -115,8 +63,8 @@ int64_t merge_many_i64_f64(
  * the left child.  Because the leaf layout is in stream order, the left
  * child always covers lower stream ids, so among equal head indices the
  * root is the *lowest* stream id — equal indices are therefore consumed in
- * stream order and the accumulation reproduces the head scan (and the seed's
- * sequential pairwise left fold) bit for bit.  Advancing a stream only
+ * stream order and the accumulation reproduces the seed's sequential
+ * pairwise left fold bit for bit.  Advancing a stream only
  * replays its leaf-to-root path.
  *
  * INT64_MAX marks an exhausted stream; it cannot collide with a real index

@@ -42,22 +42,16 @@ class CMergeKernels:
             ctypes.c_int64, _I64_P, _F64_P,
             _I64_P, _F64_P,
         ]
-        merge_many_argtypes = [
+        #: O(total * log streams) tournament-tree k-way kernel.
+        self._merge_many = lib.merge_many_tournament_i64_f64
+        self._merge_many.restype = ctypes.c_int64
+        self._merge_many.argtypes = [
             ctypes.c_int64,
             ctypes.POINTER(ctypes.c_void_p),
             ctypes.POINTER(ctypes.c_void_p),
             _I64_P,
             _I64_P, _F64_P,
         ]
-        #: Reference O(total * streams) head-scan kernel, kept callable for
-        #: the perf-regression benchmark (bench_merge_tree.py).
-        self._merge_many_headscan = lib.merge_many_i64_f64
-        self._merge_many_headscan.restype = ctypes.c_int64
-        self._merge_many_headscan.argtypes = merge_many_argtypes
-        #: Production O(total * log streams) tournament-tree kernel.
-        self._merge_many_tournament = lib.merge_many_tournament_i64_f64
-        self._merge_many_tournament.restype = ctypes.c_int64
-        self._merge_many_tournament.argtypes = merge_many_argtypes
 
     @staticmethod
     def _i64(array: np.ndarray):
@@ -87,18 +81,10 @@ class CMergeKernels:
         return out_indices[:count], out_values[:count]
 
     def merge_many(self, index_streams: Sequence[np.ndarray],
-                   value_streams: Sequence[np.ndarray],
-                   impl: str = "tournament") -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """K-way merge; returns ``None`` when the stream count exceeds the
-        compiled kernel's capacity (callers then fall back).
-
-        ``impl`` selects the kernel: ``"tournament"`` (default, the
-        O(total * log streams) winner tree) or ``"headscan"`` (the reference
-        O(total * streams) scan, kept for the perf-regression benchmark).
-        Both produce bit-identical output.
-        """
-        kernel = (self._merge_many_tournament if impl == "tournament"
-                  else self._merge_many_headscan)
+                   value_streams: Sequence[np.ndarray]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """K-way tournament-tree merge; returns ``None`` when the stream
+        count exceeds the compiled kernel's capacity (callers then fall
+        back)."""
         k = len(index_streams)
         if k > MAX_STREAMS:
             return None
@@ -111,7 +97,7 @@ class CMergeKernels:
         value_ptrs = (ctypes.c_void_p * k)(*[stream.ctypes.data for stream in value_streams])
         lengths = np.fromiter((stream.shape[0] for stream in index_streams),
                               dtype=np.int64, count=k)
-        count = kernel(
+        count = self._merge_many(
             k,
             ctypes.cast(index_ptrs, ctypes.POINTER(ctypes.c_void_p)),
             ctypes.cast(value_ptrs, ctypes.POINTER(ctypes.c_void_p)),

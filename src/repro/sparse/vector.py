@@ -97,63 +97,6 @@ def _stable_merge_sorted(index_streams: Sequence[np.ndarray],
     return indices[order], values[order]
 
 
-def _tree_merge_sorted(index_streams: Sequence[np.ndarray],
-                       value_streams: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Tournament-bracket merge of sorted COO streams (NumPy counterpart of
-    the compiled tournament-tree kernel).
-
-    Streams are merged pairwise in rounds — a bracket of vectorized two-way
-    merges — so the total comparison work is O(total * log streams).  Only
-    the *index* arrays (with their positions in the stream-order
-    concatenation) travel through the bracket; the values are gathered once
-    at the end, so the later segment-sum still accumulates duplicates
-    strictly in stream order and the result stays bit-identical to the seed
-    fold.
-
-    This is the *reference* mirror of the compiled kernel's bracket order,
-    used by the equivalence tests and the ``BENCH_PR3.json`` harness to
-    cross-validate the production paths.  It is not the production NumPy
-    fallback: the packed-key path of :func:`_stable_merge_sorted` reaches
-    the same O(total * log streams) comparison bound through timsort's run
-    galloping and wins on constants (each bracket round here pays a full
-    NumPy-dispatch pass over the data; see ``numpy_tree_speedup`` in
-    ``BENCH_PR3.json``).
-
-    Stability: within a two-way merge, entries of the left run precede equal
-    entries of the right run (``side="left"`` / ``side="right"``), and the
-    bracket always pairs adjacent runs, so the global order of equal indices
-    is exactly the stream order.
-    """
-    runs = []
-    offset = 0
-    for stream in index_streams:
-        n = stream.shape[0]
-        runs.append((stream, np.arange(offset, offset + n, dtype=np.int64)))
-        offset += n
-    values = np.concatenate(value_streams)
-    while len(runs) > 1:
-        merged_runs = []
-        for left in range(0, len(runs) - 1, 2):
-            (ai, ap), (bi, bp) = runs[left], runs[left + 1]
-            na, nb = ai.shape[0], bi.shape[0]
-            out_i = np.empty(na + nb, dtype=np.int64)
-            out_p = np.empty(na + nb, dtype=np.int64)
-            slots_a = np.arange(na, dtype=np.int64)
-            slots_a += np.searchsorted(bi, ai, side="left")
-            slots_b = np.arange(nb, dtype=np.int64)
-            slots_b += np.searchsorted(ai, bi, side="right")
-            out_i[slots_a] = ai
-            out_i[slots_b] = bi
-            out_p[slots_a] = ap
-            out_p[slots_b] = bp
-            merged_runs.append((out_i, out_p))
-        if len(runs) % 2:
-            merged_runs.append(runs[-1])
-        runs = merged_runs
-    indices, positions = runs[0]
-    return indices, values[positions]
-
-
 def _segment_sum_sorted(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Collapse duplicates of an index-sorted COO stream by summation.
 
@@ -209,13 +152,11 @@ def merge_many_coo(index_streams: Sequence[np.ndarray],
     """K-way merge-sum of sorted-unique COO streams.
 
     One k-way tournament-tree merge when the compiled kernels are
-    available, else one stable merge plus one segment-sum pass in NumPy.
-    (The NumPy path keeps the packed-key stable sort: timsort's galloping
-    merges the presorted runs in O(total * log streams) comparisons, so it
-    already *is* a tournament merge in optimized C — measured in
-    ``BENCH_PR3.json`` against the explicit bracket merge of
-    :func:`_tree_merge_sorted`, which exists as the readable reference the
-    equivalence tests cross-validate against.)  Duplicate values accumulate
+    available (and at most :data:`~repro.sparse.ckernels.MAX_STREAMS`
+    streams are given), else one stable merge plus one segment-sum pass in
+    NumPy.  (The NumPy path's packed-key stable sort gallops through the
+    presorted runs in O(total * log streams) comparisons, so it already
+    *is* a tournament merge in optimized C.)  Duplicate values accumulate
     in stream order, so each output value is the left-to-right sum over
     streams — bit-identical to folding :func:`merge_add_coo` pairwise.
     """

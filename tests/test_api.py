@@ -105,6 +105,29 @@ class TestMake:
         with pytest.raises(ValueError, match="no sparsity knob"):
             make("dense?schedule=warmup:5", SimulatedCluster(4), num_elements=100)
 
+    @pytest.mark.parametrize("spec", ["dense?k=10", "dense?density=0.1"])
+    def test_dense_rejects_sparsity(self, spec):
+        with pytest.raises(ValueError, match="no sparsity knob"):
+            make(spec, SimulatedCluster(4), num_elements=100)
+
+    @pytest.mark.parametrize("method", ["ok-topk", "topka", "topkdsa", "gtopk", "dense"])
+    @pytest.mark.parametrize("key", ["teams=2", "sag=bsag", "residuals=local"])
+    def test_spardl_only_keys_rejected_elsewhere(self, method, key):
+        sparsity = "" if method == "dense" else "density=0.01&"
+        with pytest.raises(ValueError, match="SparDL-only"):
+            parse_spec(f"{method}?{sparsity}{key}")
+
+    def test_extras_rejected_outside_spardl(self):
+        with pytest.raises(ValueError, match="SparDL-only"):
+            make("ok-topk?density=0.01", SimulatedCluster(4), num_elements=1000,
+                 sparsify_all_blocks=True)
+
+    @pytest.mark.parametrize("key, value", [("wire", "packed"), ("deferred", "false")])
+    def test_removed_keys_are_unknown(self, key, value):
+        with pytest.raises(ValueError, match="unknown spec key"):
+            make(f"spardl?density=0.01&{key}={value}", SimulatedCluster(4),
+                 num_elements=100)
+
     def test_bucketed_build(self):
         model = build_mlp(8, [8], 2, seed=0)
         sync = make("spardl?density=0.1&buckets=layer", SimulatedCluster(4), model=model)
@@ -120,7 +143,7 @@ class TestDescribeRoundTrip:
         "spardl?density=0.01&schedule=warmup:5&buckets=layer",
         "gtopk?density=0.01&schedule=adaptive",
         "ok-topk?k=500",
-        "spardl?density=0.02&wire=per-block&deferred=true",
+        "spardl?density=0.02&teams=2&sag=bsag&residuals=partial",
     ])
     def test_make_then_describe_round_trips(self, spec):
         cluster = SimulatedCluster(8)

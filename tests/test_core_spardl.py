@@ -255,6 +255,33 @@ class TestDenseFallback:
         t_sparse = sparse.synchronize(gradients).stats.simulated_time(ETHERNET)
         assert t_fallback < t_sparse
 
+    def test_measured_crossover_matches_default(self):
+        """Sweep k/n at a power-of-two P (where dense All-Reduce is
+        bandwidth-optimal) and interpolate where SparDL's simulated
+        alpha-beta time meets the dense baseline's.  The COO volume
+        4k(P-1)/P meets the dense 2n(P-1)/P at k/n = 1/2, and the shipped
+        default must sit there (latency rounding gives a little slack)."""
+        from repro.baselines.dense import DenseAllReduceSynchronizer
+        from repro.comm.network import ETHERNET
+        from repro.core.config import DEFAULT_DENSE_CROSSOVER
+
+        num_workers, num_elements = 8, 10_000
+        gradients = random_gradients(num_workers, num_elements, seed=7)
+        dense = DenseAllReduceSynchronizer(SimulatedCluster(num_workers), num_elements)
+        dense_time = dense.synchronize(gradients).stats.simulated_time(ETHERNET)
+        densities = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
+        ratios = []
+        for density in densities:
+            _, sparse = build(num_workers, num_elements, density=density,
+                              dense_fallback=False)
+            stats = sparse.synchronize(gradients).stats
+            ratios.append(stats.simulated_time(ETHERNET) / dense_time)
+        crossings = [lo + (1.0 - a) / (b - a) * (hi - lo)
+                     for lo, hi, a, b in zip(densities, densities[1:], ratios, ratios[1:])
+                     if a < 1.0 <= b]
+        assert crossings, f"sparse never lost to dense in the sweep: {ratios}"
+        assert crossings[0] == pytest.approx(DEFAULT_DENSE_CROSSOVER, abs=0.1)
+
 
 class TestSparDLResidualPolicies:
     @pytest.mark.parametrize("policy", [ResidualPolicy.GLOBAL, ResidualPolicy.PARTIAL,

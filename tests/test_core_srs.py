@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.comm.cluster import SimulatedCluster
+from repro.core.partition import plan_bags, transmission_distances
 from repro.core.residuals import ResidualManager, ResidualPolicy
 from repro.core.spardl import make_teams
 from repro.core.srs import spar_reduce_scatter
@@ -17,15 +18,57 @@ from tests.helpers import random_gradients
 
 
 def run_srs(num_workers, num_elements, k_block, *, num_teams=1, sparsify_all=False,
-            policy=ResidualPolicy.GLOBAL, seed=0, wire_format="packed"):
+            policy=ResidualPolicy.GLOBAL, seed=0):
     cluster = SimulatedCluster(num_workers)
     teams = make_teams(num_workers, num_teams)
     layout = BlockLayout(num_elements, num_workers // num_teams)
     residuals = ResidualManager(num_workers, num_elements, policy)
     gradients = random_gradients(num_workers, num_elements, seed=seed)
     output = spar_reduce_scatter(cluster, teams, gradients, layout, k_block, residuals,
-                                 sparsify_all=sparsify_all, wire_format=wire_format)
+                                 sparsify_all=sparsify_all)
     return cluster, output, residuals, gradients
+
+
+def reference_srs(num_workers, num_elements, k_block, *, seed=0):
+    """Single-team SRS with every block handed over on its own, in memory.
+
+    No transport and no packed buffers: each sent block goes straight into
+    the receiver's held block, and the receiver is billed two elements per
+    non-zero.  Returns ``(reduced_blocks, residuals, received_per_worker)``.
+    """
+    layout = BlockLayout(num_elements, num_workers)
+    residuals = ResidualManager(num_workers, num_elements, ResidualPolicy.GLOBAL)
+    gradients = random_gradients(num_workers, num_elements, seed=seed)
+    held, plans = {}, {}
+    for rank in range(num_workers):
+        held[rank] = {}
+        for block, _, _ in layout.iter_blocks():
+            selected, residual_block, offset = layout.sparse_block_from_dense(
+                gradients[rank], block, k_block)
+            residuals.collect_local(rank, residual_block, offset)
+            held[rank][block] = selected
+        plans[rank] = plan_bags(rank, num_workers)
+    received = [0.0] * num_workers
+    distances = transmission_distances(num_workers)
+    for step, distance in enumerate(distances, start=1):
+        sent = {rank: [(block, held[rank].pop(block))
+                       for block in plans[rank].bag_for_step(step)]
+                for rank in range(num_workers)}
+        for rank, blocks in sent.items():
+            dst = (rank + distance) % num_workers
+            for block, sparse in blocks:
+                held[dst][block] = held[dst][block].add(sparse)
+                received[dst] += 2 * sparse.nnz
+        for rank in range(num_workers):
+            targets = (plans[rank].bag_for_step(step + 1)
+                       if step < len(distances) else (plans[rank].preserved,))
+            for block in targets:
+                kept, dropped = held[rank][block].top_k(k_block)
+                held[rank][block] = kept
+                residuals.collect_procedure(rank, dropped)
+    reduced = {rank: held[rank][plans[rank].preserved]
+               for rank in range(num_workers)}
+    return reduced, residuals, received
 
 
 class TestSRSStructure:
@@ -126,46 +169,36 @@ class TestSRSCorrectness:
 
 
 class TestSRSWireFormat:
-    """The batched (PackedBags) and per-block wire formats are equivalent."""
-
-    @pytest.mark.parametrize("num_workers", [2, 3, 5, 6, 8, 14])
-    def test_packed_and_per_block_are_bit_identical(self, num_workers):
-        _, packed, packed_res, _ = run_srs(num_workers, 300, 4, seed=11,
-                                           wire_format="packed")
-        _, legacy, legacy_res, _ = run_srs(num_workers, 300, 4, seed=11,
-                                           wire_format="per-block")
-        for rank in range(num_workers):
-            np.testing.assert_array_equal(packed.reduced_blocks[rank].indices,
-                                          legacy.reduced_blocks[rank].indices)
-            np.testing.assert_array_equal(packed.reduced_blocks[rank].values,
-                                          legacy.reduced_blocks[rank].values)
-        np.testing.assert_array_equal(packed_res.total_residual(),
-                                      legacy_res.total_residual())
+    """Every bag travels as one PackedBags message per worker and step."""
 
     @pytest.mark.parametrize("num_workers", [2, 3, 5, 6, 8, 14])
     def test_packed_emits_one_message_per_worker_per_step(self, num_workers):
         cluster, output, _, _ = run_srs(num_workers, 300, 4)
         assert cluster.stats.total_messages == num_workers * output.num_steps
 
-    def test_per_block_emits_one_message_per_block(self):
-        # Over all of SRS each worker ships every non-preserved block exactly
-        # once: P * (m - 1) messages in the unbatched wiring.
-        num_workers = 8
-        cluster, _, _, _ = run_srs(num_workers, 300, 4, wire_format="per-block")
-        assert cluster.stats.total_messages == num_workers * (num_workers - 1)
+    @pytest.mark.parametrize("num_workers", [2, 3, 5, 6, 8, 14])
+    def test_packed_matches_per_block_reference(self, num_workers):
+        """Packing a bag into one buffer pair and slicing it apart again
+        changes nothing: reduced blocks and residuals equal, bit for bit,
+        an in-memory run that hands every block over on its own."""
+        _, packed, packed_res, _ = run_srs(num_workers, 300, 4, seed=11)
+        reference, reference_res, _ = reference_srs(num_workers, 300, 4, seed=11)
+        for rank in range(num_workers):
+            np.testing.assert_array_equal(packed.reduced_blocks[rank].indices,
+                                          reference[rank].indices)
+            np.testing.assert_array_equal(packed.reduced_blocks[rank].values,
+                                          reference[rank].values)
+        np.testing.assert_array_equal(packed_res.total_residual(),
+                                      reference_res.total_residual())
 
     @pytest.mark.parametrize("num_workers", [3, 8])
-    def test_both_formats_record_identical_volumes(self, num_workers):
-        packed_cluster, _, _, _ = run_srs(num_workers, 300, 4, seed=5)
-        legacy_cluster, _, _, _ = run_srs(num_workers, 300, 4, seed=5,
-                                          wire_format="per-block")
-        assert (packed_cluster.stats.received_per_worker
-                == legacy_cluster.stats.received_per_worker)
-        assert packed_cluster.stats.rounds == legacy_cluster.stats.rounds
-
-    def test_rejects_unknown_wire_format(self):
-        with pytest.raises(ValueError):
-            run_srs(4, 100, 2, wire_format="json")
+    def test_recorded_volume_is_two_elements_per_nonzero(self, num_workers):
+        """Block ids and offsets are free header metadata: each worker is
+        billed exactly two elements per non-zero it receives."""
+        cluster, _, _, _ = run_srs(num_workers, 300, 4, seed=5)
+        _, _, received = reference_srs(num_workers, 300, 4, seed=5)
+        assert cluster.stats.received_per_worker == received
+        assert cluster.stats.rounds == len(transmission_distances(num_workers))
 
 
 class TestSRSValidation:

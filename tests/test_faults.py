@@ -292,15 +292,14 @@ class TestRetryBilling:
 
 
 class TestGracefulDegradation:
-    @pytest.mark.parametrize("wire_format", ["packed", "per-block"])
-    @pytest.mark.parametrize("deferred", [False, True])
-    def test_conservation_under_heavy_loss(self, wire_format, deferred):
+    @pytest.mark.parametrize("bits", [None, 8])
+    @pytest.mark.parametrize("num_teams", [1, 2, 4])
+    def test_conservation_under_heavy_loss(self, num_teams, bits):
         cluster = SimulatedCluster(8)
         cluster.install_fault_plan(FaultPlan(seed=3, drop_rate=0.6,
                                              retry=RetryPolicy(max_retries=0)))
         sync = SparDLSynchronizer(cluster, NUM_ELEMENTS, SparDLConfig(
-            density=0.05, num_teams=2, wire_format=wire_format,
-            deferred_residuals=deferred))
+            density=0.05, num_teams=num_teams, num_bits=bits))
         lost_total = 0
         for iteration in range(3):
             grads = random_gradients(8, NUM_ELEMENTS, seed=100 * iteration)

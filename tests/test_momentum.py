@@ -278,7 +278,7 @@ class TestHybridPolicy:
                 # still carry the momentum stack.
                 assert inner.stack.momentum == 0.9
             else:
-                assert inner.compressor.num_bits == 8
+                assert inner.stack.quantize.num_bits == 8
 
     def test_hybrid_spec_round_trips(self):
         from repro.api import describe, parse_spec

@@ -14,6 +14,7 @@ import pytest
 
 from repro.sparse import vector as vector_module
 from repro.sparse.blocks import BlockLayout, block_bounds
+from repro.sparse.ckernels import MAX_STREAMS
 from repro.sparse.topk import kth_largest_magnitude, top_k_indices
 from repro.sparse.vector import SparseGradient, merge_add_coo, merge_many_coo
 
@@ -95,9 +96,13 @@ class TestKernelEquivalence:
     def test_merge_many_bit_identical_to_pairwise_fold(self, path, monkeypatch):
         force_kernel_path(monkeypatch, path)
         rng = np.random.default_rng(13)
-        for trial in range(60):
-            n = int(rng.integers(1, 400))
-            num_streams = int(rng.integers(1, 9))
+        stream_counts = [int(rng.integers(1, 9)) for _ in range(60)]
+        # Wide fan-ins; MAX_STREAMS + 1 overflows the compiled kernel and
+        # exercises the NumPy fallback even on the compiled leg.
+        stream_counts += [64, MAX_STREAMS, MAX_STREAMS + 1]
+        for num_streams in stream_counts:
+            # Wide fan-ins use the full length so no stream comes out empty.
+            n = int(rng.integers(1, 400)) if num_streams <= 8 else 400
             streams = []
             for _ in range(num_streams):
                 dense = rng.normal(size=n) * (rng.random(n) < 0.2)

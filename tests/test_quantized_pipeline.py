@@ -6,7 +6,7 @@ Three contracts, straight from the issue's acceptance criteria:
   compressor is installed, the compress stage is the identity and no wire
   pricer ever runs — `tests/test_pipeline_equivalence.py` already gates the
   resulting behaviour bit-for-bit; here we gate the *mechanism* (no
-  compressor object, identity wire).
+  compressor stack, identity wire).
 * **bits=b == quantized accounting, per message.**  Every message of a
   quantized step bills the ``(1 + b/32)/2`` COO accounting exactly — one
   full element per index, ``b`` bits per value, one scale element per
@@ -15,8 +15,8 @@ Three contracts, straight from the issue's acceptance criteria:
   controlled TopkA run.
 * **residual mass is conserved.**  ``sum_t global_t + residuals ==
   sum_t inputs`` (sent + quantization error + discards == input, telescoped
-  over iterations) for every GRES-collecting configuration, including teams,
-  the deferred-residual path and the dense fallback.
+  over iterations) for every GRES-collecting configuration, including teams
+  and the dense fallback.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class TestBitsAbsentIsIdentity:
     @pytest.mark.parametrize("method", SYNCHRONIZER_NAMES)
     def test_no_compressor_without_bits(self, method):
         sync = make(_spec(method), SimulatedCluster(8), num_elements=NUM_ELEMENTS)
-        assert sync.compressor is None
+        assert sync.stack is None
         assert sync.cluster._pricer is None
         result = sync.synchronize(_gradients(8, 0))
         assert "quantized_bits" not in result.info
@@ -82,8 +82,7 @@ class TestBitsAbsentIsIdentity:
     def test_compressor_with_bits(self, method):
         sync = make(_spec(method, bits=8), SimulatedCluster(8),
                     num_elements=NUM_ELEMENTS)
-        assert sync.compressor is not None
-        assert sync.compressor.num_bits == 8
+        assert sync.stack.quantize.num_bits == 8
         result = sync.synchronize(_gradients(8, 0))
         assert result.info["quantized_bits"] == 8
         assert result.is_consistent
@@ -202,7 +201,7 @@ class TestResidualConservation:
         "spardl?density=0.05&bits=2",
         "spardl?density=0.05&teams=2&bits=4",          # R-SAG
         "spardl?density=0.05&teams=3&bits=8",          # B-SAG (P=6)
-        "spardl?density=0.05&bits=8&deferred=true",    # deferred residual path
+        "spardl?density=0.05&teams=2&sag=bsag&bits=8", # B-SAG (P=8)
         "spardl?density=0.8&bits=8",                   # dense fallback
         "dense?bits=8",                                # QSGD with error feedback
     ])
@@ -220,25 +219,6 @@ class TestResidualConservation:
         residual = sync.residuals.total_residual()
         np.testing.assert_allclose(total_global + residual, total_input,
                                    atol=1e-9)
-
-    def test_deferred_matches_eager_bitwise_under_quantization(self):
-        """The deferred residual fold must replay the eager scatter chain
-        even when quantization errors join the discards."""
-        P = 6
-        eager = make("spardl?density=0.05&teams=2&bits=4", SimulatedCluster(P),
-                     num_elements=NUM_ELEMENTS)
-        deferred = make("spardl?density=0.05&teams=2&bits=4&deferred=true",
-                        SimulatedCluster(P), num_elements=NUM_ELEMENTS)
-        for iteration in range(ITERATIONS):
-            gradients = _gradients(P, iteration)
-            result_eager = eager.synchronize({w: g.copy() for w, g in gradients.items()})
-            result_deferred = deferred.synchronize({w: g.copy() for w, g in gradients.items()})
-            for worker in range(P):
-                np.testing.assert_array_equal(
-                    result_eager.global_gradients[worker],
-                    result_deferred.global_gradients[worker])
-        np.testing.assert_array_equal(eager.residuals.total_residual(),
-                                      deferred.residuals.total_residual())
 
 
 class TestSessionsAndBuckets:
@@ -321,11 +301,10 @@ class TestSpecSurface:
     def test_make_synchronizer_num_bits_kwarg(self):
         sync = make_synchronizer("SparDL", SimulatedCluster(4), 1000,
                                  density=0.01, num_bits=4)
-        assert sync.compressor is not None
-        assert sync.compressor.num_bits == 4
+        assert sync.stack.quantize.num_bits == 4
 
     def test_bits_override_through_make(self):
         sync = make("spardl?density=0.01", SimulatedCluster(4),
                     num_elements=1000, bits=8)
-        assert sync.compressor.num_bits == 8
+        assert sync.stack.quantize.num_bits == 8
         assert describe(sync) == "spardl?density=0.01&bits=8"
